@@ -10,7 +10,7 @@
 //! max_points`] reproduces that operational limit explicitly.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, FeatureMatrix};
+use crate::features::{dist2_within, FeatureMatrix};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -24,9 +24,14 @@ const PAR_NEIGHBOR_MIN_ROWS: usize = 128;
 /// every run of a [`sweep`] — the sweep varies only `min_samples`, so
 /// recomputing the O(n²) neighbor scan per grid point is pure waste.
 ///
-/// Each list keeps ascending row order (the same order the previous
-/// inline `(0..n).filter` scan produced), so BFS expansion and therefore
-/// the cluster labels are bit-identical to the uncached implementation.
+/// The build scans each unordered pair once, with the exact bounded
+/// kernel [`dist2_within`] cut off at `eps²`, and mirrors every hit into
+/// both rows' lists. Both steps are bit-exact: `(x−y)² == (y−x)²` in
+/// IEEE-754, so `dist2` is symmetric, and the kernel stops only once its
+/// partial sum already exceeds `eps²`, which the full sum then does too.
+/// Each list keeps ascending row order (the order a full
+/// `(0..n).filter(dist2 <= eps²)` scan produces), so BFS expansion and
+/// therefore the cluster labels are unchanged.
 #[derive(Debug, Clone)]
 pub struct NeighborCache {
     eps: f64,
@@ -34,24 +39,43 @@ pub struct NeighborCache {
 }
 
 impl NeighborCache {
-    /// Builds the cache for `matrix` at radius `eps`. Rows are scanned
-    /// independently, so the build fans out over the pool for large
-    /// matrices with identical results at any thread count.
+    /// Builds the cache for `matrix` at radius `eps`. Rows scan their
+    /// upper triangle independently, so the scan fans out over the pool
+    /// for large matrices with identical results at any thread count.
     pub fn build(matrix: &FeatureMatrix, eps: f64) -> Self {
         let _span = tpupoint_obs::span!("dbscan.neighbor_cache");
         let n = matrix.len();
         let eps2 = eps * eps;
+        let rows = Rows::new(matrix);
+        // Row i's neighbors j >= i, itself included when within eps.
         let scan = |i: usize| -> Vec<usize> {
-            (0..n)
-                .filter(|&j| dist2(&matrix.rows[i], &matrix.rows[j]) <= eps2)
+            let a = rows.row(i);
+            (i..n)
+                .filter(|&j| dist2_within(a, rows.row(j), eps2) <= eps2)
                 .collect()
         };
         let pool = tpupoint_par::pool();
-        let lists = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
+        let upper: Vec<Vec<usize>> = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
             pool.par_map_index(n, scan)
         } else {
             (0..n).map(scan).collect()
         };
+        // Mirror the upper triangle. Visiting rows in ascending order
+        // appends each row's lower neighbors ascending before its own
+        // upper list, so every list comes out sorted.
+        let mut degree: Vec<usize> = upper.iter().map(Vec::len).collect();
+        for (i, up) in upper.iter().enumerate() {
+            for &j in up.iter().filter(|&&j| j != i) {
+                degree[j] += 1;
+            }
+        }
+        let mut lists: Vec<Vec<usize>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for (i, up) in upper.into_iter().enumerate() {
+            for &j in up.iter().filter(|&&j| j != i) {
+                lists[j].push(i);
+            }
+            lists[i].extend_from_slice(&up);
+        }
         NeighborCache { eps, lists }
     }
 
@@ -73,6 +97,28 @@ impl NeighborCache {
     /// Neighbors of row `i` (including `i` itself), ascending.
     pub fn neighbors(&self, i: usize) -> &[usize] {
         &self.lists[i]
+    }
+}
+
+/// A matrix's rows copied into one contiguous buffer, so the pairwise
+/// scans stream through memory rather than visit one allocation per row.
+struct Rows {
+    flat: Vec<f64>,
+    dims: usize,
+    len: usize,
+}
+
+impl Rows {
+    fn new(matrix: &FeatureMatrix) -> Self {
+        Rows {
+            flat: matrix.rows.concat(),
+            dims: matrix.dims(),
+            len: matrix.len(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        &self.flat[i * self.dims..(i + 1) * self.dims]
     }
 }
 
@@ -152,34 +198,65 @@ impl DbscanResult {
 /// ~`4×stride`-th neighbor of the full data, so restricting the search to
 /// the sample inflates eps and (time-weighted) phase coverage degrades as
 /// dense step clusters get merged across real boundaries.
+///
+/// Each seed's search ([`kth_nearest_d2`]) prunes with the exact bounded
+/// kernel and returns the same value a full sort would, so eps is
+/// bit-identical to an exhaustive scan. Seeds are independent and fan
+/// out over the pool for large matrices.
 pub fn auto_eps(matrix: &FeatureMatrix) -> f64 {
+    let _span = tpupoint_obs::span!("dbscan.auto_eps");
     let n = matrix.len();
     if n < 2 {
         return 1.0;
     }
     let stride = n.div_ceil(512);
     let sample: Vec<usize> = (0..n).step_by(stride).collect();
-    let mut knn: Vec<f64> = Vec::with_capacity(sample.len());
-    for &i in &sample {
-        let mut d: Vec<f64> = (0..n)
-            .filter(|&j| j != i)
-            .map(|j| matrix.dist2(i, j))
-            .collect();
-        if d.is_empty() {
-            continue;
-        }
-        let k = 3.min(d.len() - 1);
-        d.select_nth_unstable_by(k, |a, b| {
-            a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        knn.push(d[k].sqrt());
-    }
-    if knn.is_empty() {
-        return 1.0;
-    }
-    knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    let k = KNN_RANK.min(n - 2);
+    let rows = Rows::new(matrix);
+    let knn_of = |&i: &usize| kth_nearest_d2(&rows, i, k).sqrt();
+    let pool = tpupoint_par::pool();
+    let mut knn: Vec<f64> = if n >= PAR_NEIGHBOR_MIN_ROWS && pool.size() > 1 {
+        pool.par_map(&sample, |_, i| knn_of(i))
+    } else {
+        sample.iter().map(knn_of).collect()
+    };
+    knn.sort_by(f64::total_cmp);
     let median = knn[knn.len() / 2];
     (1.5 * median).max(1e-9)
+}
+
+/// Zero-based rank of the neighbor whose distance sets eps: the 4th
+/// nearest other row.
+const KNN_RANK: usize = 3;
+
+/// Squared distance from row `i` to its `(k+1)`-th nearest other row:
+/// index `k` of the ascending distances to every other row.
+///
+/// Keeps the `k + 1` smallest distances seen so far, sorted, and visits
+/// rows outward from `i` (`i−1`, `i+1`, `i−2`, …) because neighboring
+/// steps tend to be the nearest, which tightens the cut-off early. Once
+/// `k + 1` are held, a candidate is abandoned when its partial sum is
+/// strictly greater than the largest kept: it cannot enter the kept set,
+/// so the result equals a full sort's and does not depend on the visit
+/// order. Comparisons use `total_cmp`, so NaN distances cannot panic.
+fn kth_nearest_d2(rows: &Rows, i: usize, k: usize) -> f64 {
+    let n = rows.len;
+    let row = rows.row(i);
+    let mut best: Vec<f64> = Vec::with_capacity(k + 2);
+    let reach = i.max(n - 1 - i);
+    let outward = (1..=reach)
+        .flat_map(|off| [i.checked_sub(off), Some(i + off).filter(|&j| j < n)])
+        .flatten();
+    for j in outward {
+        let bound = best.get(k).copied().unwrap_or(f64::INFINITY);
+        let d = dist2_within(row, rows.row(j), bound);
+        if best.len() <= k || d.total_cmp(&bound).is_lt() {
+            let at = best.partition_point(|b| b.total_cmp(&d).is_le());
+            best.insert(at, d);
+            best.truncate(k + 1);
+        }
+    }
+    best[k]
 }
 
 /// Runs DBSCAN.
@@ -287,7 +364,130 @@ pub fn elbow_min_samples(sweep: &[(usize, f64, usize)]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::dist2;
+    use crate::testdata::{grid_rows, random_rows, SHAPES};
     use tpupoint_simcore::SimRng;
+
+    /// The full `(0..n).filter(dist2 <= eps²)` scan the cache replaced.
+    fn oracle_lists(matrix: &FeatureMatrix, eps: f64) -> Vec<Vec<usize>> {
+        let n = matrix.len();
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .filter(|&j| dist2(&matrix.rows[i], &matrix.rows[j]) <= eps * eps)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The exhaustive per-seed scan and selection `auto_eps` replaced.
+    fn oracle_auto_eps(matrix: &FeatureMatrix) -> f64 {
+        let n = matrix.len();
+        if n < 2 {
+            return 1.0;
+        }
+        let stride = n.div_ceil(512);
+        let sample: Vec<usize> = (0..n).step_by(stride).collect();
+        let mut knn: Vec<f64> = Vec::with_capacity(sample.len());
+        for &i in &sample {
+            let mut d: Vec<f64> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| matrix.dist2(i, j))
+                .collect();
+            if d.is_empty() {
+                continue;
+            }
+            let k = 3.min(d.len() - 1);
+            d.select_nth_unstable_by(k, |a, b| {
+                a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            knn.push(d[k].sqrt());
+        }
+        if knn.is_empty() {
+            return 1.0;
+        }
+        knn.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let median = knn[knn.len() / 2];
+        (1.5 * median).max(1e-9)
+    }
+
+    fn cache_lists(cache: &NeighborCache) -> Vec<Vec<usize>> {
+        (0..cache.len())
+            .map(|i| cache.neighbors(i).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn auto_eps_matches_the_exhaustive_scan_bit_for_bit() {
+        for (n, dims) in SHAPES.into_iter().chain([(600, 13), (1100, 7)]) {
+            for m in [random_rows(n as u64, n, dims), grid_rows(n as u64, n, dims)] {
+                assert_eq!(
+                    auto_eps(&m).to_bits(),
+                    oracle_auto_eps(&m).to_bits(),
+                    "n={n} dims={dims}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_lists_match_the_full_scan() {
+        for (n, dims) in SHAPES {
+            let m = random_rows(n as u64, n, dims);
+            for eps in [auto_eps(&m), 0.5, 1.0] {
+                let cache = NeighborCache::build(&m, eps);
+                assert_eq!(
+                    cache_lists(&cache),
+                    oracle_lists(&m, eps),
+                    "n={n} dims={dims}"
+                );
+            }
+            // Whole-number squared distances land exactly on eps² = 1
+            // and eps² = 4, exercising the `<=` boundary.
+            let grid = grid_rows(n as u64, n, dims);
+            for eps in [1.0, 2.0, auto_eps(&grid)] {
+                let cache = NeighborCache::build(&grid, eps);
+                assert_eq!(
+                    cache_lists(&cache),
+                    oracle_lists(&grid, eps),
+                    "grid n={n} dims={dims}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_lists_match_at_any_thread_count() {
+        let m = grid_rows(4, 150, 13);
+        let oracle = oracle_lists(&m, 2.0);
+        for threads in [1, 2, 4] {
+            tpupoint_par::set_threads(threads);
+            assert_eq!(cache_lists(&NeighborCache::build(&m, 2.0)), oracle);
+        }
+        tpupoint_par::set_threads(0);
+    }
+
+    #[test]
+    fn non_finite_cells_do_not_panic() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = random_rows(5, 150, 7);
+            m.rows[3][1] = bad;
+            m.rows[90][6] = bad;
+            let eps = auto_eps(&m);
+            let cache = NeighborCache::build(&m, eps);
+            assert_eq!(cache.len(), 150);
+            // A non-finite row is never within eps of anything, itself
+            // included, exactly as the full scan decides.
+            assert_eq!(cache_lists(&cache), oracle_lists(&m, eps));
+            assert!(cache.neighbors(3).is_empty());
+            let swept = sweep(&m, &paper_grid(), &DbscanConfig::default()).expect("within limits");
+            assert_eq!(swept.len(), paper_grid().len());
+            for radius in [f64::NAN, f64::INFINITY] {
+                let cache = NeighborCache::build(&m, radius);
+                assert_eq!(cache_lists(&cache), oracle_lists(&m, radius));
+            }
+        }
+    }
 
     fn blobs(sizes: &[usize]) -> FeatureMatrix {
         let mut rng = SimRng::seed_from(9);

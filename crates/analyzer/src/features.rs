@@ -150,6 +150,71 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// Terms [`dist2_within`] adds between two checks against its bound.
+const WITHIN_BLOCK: usize = 4;
+
+/// [`dist2`] with an early exit: returns exactly `dist2(a, b)` whenever
+/// that is `<= bound`, and otherwise some value `> bound`.
+///
+/// The terms are added one by one in `dist2`'s order, starting from the
+/// same `-0.0` that `f64`'s `Sum` starts from, so a run to the end yields
+/// the same bits. Every term is a square, hence non-negative, and adding
+/// a non-negative number under IEEE-754 round-to-nearest never lowers a
+/// sum: once a partial sum is strictly greater than `bound`, so is the
+/// full sum, and returning the partial sum changes no `<=` or `<`
+/// comparison a caller makes against `bound`. A NaN partial sum never
+/// compares greater, so it runs to the end and comes out NaN like
+/// `dist2`'s.
+#[inline]
+pub fn dist2_within(a: &[f64], b: &[f64], bound: f64) -> f64 {
+    debug_assert_eq!(a.len(), b.len());
+    #[cfg(test)]
+    if full_scans::enabled() {
+        return dist2(a, b);
+    }
+    let mut sum = -0.0;
+    let a_blocks = a.chunks_exact(WITHIN_BLOCK);
+    let b_blocks = b.chunks_exact(WITHIN_BLOCK);
+    let (a_rest, b_rest) = (a_blocks.remainder(), b_blocks.remainder());
+    for (xs, ys) in a_blocks.zip(b_blocks) {
+        for (x, y) in xs.iter().zip(ys) {
+            sum += (x - y) * (x - y);
+        }
+        if sum > bound {
+            return sum;
+        }
+    }
+    for (x, y) in a_rest.iter().zip(b_rest) {
+        sum += (x - y) * (x - y);
+    }
+    sum
+}
+
+/// A test switch that turns [`dist2_within`] into the full-length
+/// [`dist2`] on the current thread (still a valid answer: exact at or
+/// below the bound, above it otherwise), so whole runs can be replayed
+/// against the scans the bounded kernel replaced.
+#[cfg(test)]
+pub(crate) mod full_scans {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ENABLED: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn enabled() -> bool {
+        ENABLED.with(Cell::get)
+    }
+
+    /// Runs `f` with this thread's bounded kernel switched off.
+    pub(crate) fn with<R>(f: impl FnOnce() -> R) -> R {
+        ENABLED.with(|on| on.set(true));
+        let out = f();
+        ENABLED.with(|on| on.set(false));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +323,54 @@ mod tests {
         assert_eq!(dist2(&a, &b), dist2(&b, &a));
         assert_eq!(dist2(&a, &a), 0.0);
         assert_eq!(dist2(&a, &b), 1.0 + 1.0 + 4.0);
+    }
+
+    #[test]
+    fn dist2_within_is_exact_at_and_below_the_bound() {
+        // 11 dims: two full blocks and a remainder.
+        let a: Vec<f64> = (0..11).map(|i| i as f64 * 0.25).collect();
+        let b: Vec<f64> = (0..11).map(|i| (i * i) as f64 * 0.125).collect();
+        let full = dist2(&a, &b);
+        for bound in [full, full * 2.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(dist2_within(&a, &b, bound).to_bits(), full.to_bits());
+        }
+        let below = full - full * 1e-9;
+        assert!(dist2_within(&a, &b, below) > below);
+        assert!(dist2_within(&a, &b, 0.0) > 0.0);
+        // Zero dims: the same -0.0 `dist2`'s sum starts from.
+        assert_eq!(
+            dist2_within(&[], &[], 0.0).to_bits(),
+            dist2(&[], &[]).to_bits()
+        );
+    }
+
+    #[test]
+    fn dist2_within_passes_non_finite_sums_through() {
+        let a = [f64::NAN, 0.0, 0.0, 0.0, 9.0];
+        assert!(dist2_within(&a, &[0.0; 5], 1.0).is_nan());
+        let b = [0.0, 0.0, 0.0, 0.0, 0.0, f64::INFINITY];
+        assert!(dist2_within(&b, &[1.0; 6], 1.0) > 1.0);
+        assert_eq!(dist2_within(&b, &[1.0; 6], f64::INFINITY), f64::INFINITY);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dist2_within_agrees_with_dist2(
+            pairs in proptest::collection::vec((-4.0..4.0f64, -4.0..4.0f64), 0..40),
+            bound in 0.0..200.0f64,
+        ) {
+            let (a, b): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let full = dist2(&a, &b);
+            let within = dist2_within(&a, &b, bound);
+            if full <= bound {
+                proptest::prop_assert_eq!(within.to_bits(), full.to_bits());
+            } else {
+                proptest::prop_assert!(within > bound, "{within} <= {bound} < {full}");
+            }
+            // The full distance is always a bound it stays exact at.
+            proptest::prop_assert_eq!(dist2_within(&a, &b, full).to_bits(), full.to_bits());
+        }
     }
 }

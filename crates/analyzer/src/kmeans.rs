@@ -14,7 +14,7 @@
 //!   and keeps the SSD curve monotone non-increasing by construction.
 
 use crate::elbow::elbow_index;
-use crate::features::{dist2, FeatureMatrix};
+use crate::features::{dist2, dist2_within, FeatureMatrix};
 use tpupoint_simcore::SimRng;
 
 /// Row count below which the assignment step stays serial; smaller
@@ -121,19 +121,28 @@ pub(crate) fn seed_centroids(matrix: &FeatureMatrix, k: usize, rng: &mut SimRng)
         let idx = kmeanspp_pick(&min_d2, rng);
         centroids.push(matrix.rows[idx].clone());
         let latest = centroids.last().expect("just pushed");
-        for (i, row) in matrix.rows.iter().enumerate() {
-            min_d2[i] = min_d2[i].min(dist2(row, latest));
+        for (row, min) in matrix.rows.iter().zip(&mut min_d2) {
+            // Abandoned only when above the current minimum, which then
+            // stays: the same value the unbounded `min` would keep.
+            *min = min.min(dist2_within(row, latest, *min));
         }
     }
     centroids
 }
 
-/// The nearest centroid of one row.
+/// The nearest centroid of one row; the first one on ties.
+///
+/// Each distance goes through the exact bounded kernel [`dist2_within`]
+/// with the running best as its bound. A candidate is abandoned only once
+/// its partial sum is strictly greater than the best, and its full
+/// distance would be too, so it could not have won; an exact tie runs to
+/// the end and loses the `<` test, keeping the first minimum. The
+/// assignment is therefore the same as a full scan's.
 pub(crate) fn nearest(row: &[f64], centroids: &[Vec<f64>]) -> usize {
     let mut best_c = 0;
     let mut best_d = f64::INFINITY;
     for (c, centroid) in centroids.iter().enumerate() {
-        let dd = dist2(row, centroid);
+        let dd = dist2_within(row, centroid, best_d);
         if dd < best_d {
             best_d = dd;
             best_c = c;
@@ -292,6 +301,8 @@ pub fn elbow_k(sweep: &[(usize, f64)]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::full_scans;
+    use crate::testdata::{grid_rows, random_rows, SHAPES};
 
     /// Three well-separated blobs of 20 points each.
     fn blobs() -> FeatureMatrix {
@@ -441,6 +452,75 @@ mod tests {
         assert_eq!(run(&m, &KmeansConfig::default()), serial_run);
         assert_eq!(sweep(&m, 1..=5, &KmeansConfig::default()), serial_sweep);
         tpupoint_par::set_threads(0);
+    }
+
+    /// Bit patterns of a k-means result, so `-0.0`/`0.0` and NaN
+    /// payloads count as differences.
+    fn bits(result: &KmeansResult) -> (Vec<usize>, Vec<Vec<u64>>, u64) {
+        let centroids = result
+            .centroids
+            .iter()
+            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+            .collect();
+        (result.assignments.clone(), centroids, result.sse.to_bits())
+    }
+
+    fn sweep_bits(m: &FeatureMatrix, config: &KmeansConfig) -> Vec<(usize, u64)> {
+        sweep(m, 1..=6, config)
+            .into_iter()
+            .map(|(k, sse)| (k, sse.to_bits()))
+            .collect()
+    }
+
+    /// Replays runs and sweeps with `dist2_within` switched back to the
+    /// full-length `dist2`, which makes `nearest` and `seed_centroids` the
+    /// scans the bounded kernel replaced. Every shape stays below
+    /// `PAR_ASSIGN_MIN_ROWS`, so assignment runs on the switched thread.
+    #[test]
+    fn bounded_scans_match_the_full_scans_bit_for_bit() {
+        for (n, dims) in SHAPES {
+            for m in [random_rows(n as u64, n, dims), grid_rows(n as u64, n, dims)] {
+                for k in 1..=6 {
+                    let config = KmeansConfig {
+                        k,
+                        ..KmeansConfig::default()
+                    };
+                    let fast = bits(&run(&m, &config));
+                    let naive = bits(&full_scans::with(|| run(&m, &config)));
+                    assert_eq!(fast, naive, "run k={k} n={n} dims={dims}");
+                }
+                let config = KmeansConfig::default();
+                assert_eq!(
+                    sweep_bits(&m, &config),
+                    full_scans::with(|| sweep_bits(&m, &config)),
+                    "sweep n={n} dims={dims}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nearest_keeps_the_first_of_tied_centroids() {
+        let centroids = vec![vec![2.0, 0.0], vec![0.0, 2.0], vec![-2.0, 0.0]];
+        assert_eq!(nearest(&[0.0, 0.0], &centroids), 0);
+        assert_eq!(nearest(&[0.0, 0.0], &centroids[1..]), 0);
+        assert_eq!(nearest(&[-1.0, 1.0], &centroids), 1);
+    }
+
+    #[test]
+    fn non_finite_cells_do_not_panic() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut m = random_rows(3, 40, 7);
+            m.rows[5][2] = bad;
+            m.rows[17][0] = bad;
+            for warm_start in [true, false] {
+                let config = KmeansConfig {
+                    warm_start,
+                    ..KmeansConfig::default()
+                };
+                assert_eq!(sweep(&m, 1..=6, &config).len(), 6);
+            }
+        }
     }
 
     #[test]

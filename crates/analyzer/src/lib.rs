@@ -57,6 +57,8 @@ pub mod pca;
 pub mod phases;
 pub mod report;
 pub mod streaming;
+#[cfg(test)]
+mod testdata;
 pub mod viz;
 
 pub use analyzer::{Analyzer, AnalyzerOptions};
