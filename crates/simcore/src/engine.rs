@@ -61,11 +61,11 @@ pub trait Process {
 }
 
 #[derive(Debug)]
-pub(crate) struct Scheduled {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) target: ProcessId,
-    pub(crate) signal: Signal,
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    target: ProcessId,
+    signal: Signal,
 }
 
 impl PartialEq for Scheduled {
@@ -180,9 +180,9 @@ impl<'a> Ctx<'a> {
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 pub struct Engine {
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) heap: BinaryHeap<Reverse<Scheduled>>,
+    now: SimTime,
+    seq: u64,
+    heap: BinaryHeap<Reverse<Scheduled>>,
     processes: Vec<Option<Box<dyn Process>>>,
     queues: QueueTable,
     rng: SimRng,
@@ -276,49 +276,31 @@ impl Engine {
                 }
             }
             let Reverse(event) = self.heap.pop().expect("peeked event vanished");
-            self.dispatch(event, sink, &mut pending);
+            debug_assert!(event.at >= self.now, "time went backwards");
+            self.now = event.at;
+
+            let slot = event.target.0;
+            let mut process = self.processes[slot]
+                .take()
+                .expect("signal delivered to a process that is mid-dispatch");
+            {
+                let mut ctx = Ctx {
+                    now: self.now,
+                    self_id: event.target,
+                    queues: &mut self.queues,
+                    rng: &mut self.rng,
+                    sink: &mut *sink,
+                    pending: &mut pending,
+                };
+                process.on_signal(event.signal, &mut ctx);
+            }
+            self.processes[slot] = Some(process);
             for (at, target, signal) in pending.drain(..) {
                 self.push_event(at, target, signal);
             }
             delivered += 1;
         }
         delivered
-    }
-
-    /// Delivers one event to its target process, collecting any newly
-    /// scheduled events into `pending` (which must be empty on entry). The
-    /// caller decides how to route `pending` — the serial loop feeds it back
-    /// into the global heap, the laned loop partitions it across lane heaps.
-    pub(crate) fn dispatch(
-        &mut self,
-        event: Scheduled,
-        sink: &mut dyn TraceSink,
-        pending: &mut Vec<(SimTime, ProcessId, Signal)>,
-    ) {
-        debug_assert!(event.at >= self.now, "time went backwards");
-        self.now = event.at;
-
-        let slot = event.target.0;
-        let mut process = self.processes[slot]
-            .take()
-            .expect("signal delivered to a process that is mid-dispatch");
-        {
-            let mut ctx = Ctx {
-                now: self.now,
-                self_id: event.target,
-                queues: &mut self.queues,
-                rng: &mut self.rng,
-                sink,
-                pending,
-            };
-            process.on_signal(event.signal, &mut ctx);
-        }
-        self.processes[slot] = Some(process);
-    }
-
-    /// Number of registered processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     /// True if no events are waiting to be delivered.
@@ -479,6 +461,61 @@ mod tests {
         engine.run(&mut NullSink);
         assert_eq!(engine.queues().len(q), 10);
         assert!(engine.is_idle());
+    }
+
+    /// Emits a trace event and marks a step every few jittered
+    /// microseconds, then checkpoints; RNG draws and sink calls both
+    /// depend on delivery order.
+    struct Ticker {
+        ticks: u64,
+    }
+
+    impl Process for Ticker {
+        fn on_signal(&mut self, sig: Signal, ctx: &mut Ctx<'_>) {
+            let tick = match sig {
+                Signal::Start => 0,
+                Signal::Timer(tick) => tick,
+                _ => return,
+            };
+            let now = ctx.now();
+            ctx.emit(TraceEvent {
+                op: crate::trace::OpId(0),
+                track: crate::trace::Track::Host,
+                start: now,
+                dur: SimDuration::from_micros(1),
+                mxu_dur: SimDuration::ZERO,
+                step: Some(tick),
+            });
+            ctx.mark_step(tick);
+            if tick == self.ticks {
+                ctx.mark_checkpoint(tick);
+                return;
+            }
+            let jitter = ctx.rng().uniform_u64(1, 9);
+            ctx.schedule_in(SimDuration::from_micros(jitter), tick + 1);
+        }
+    }
+
+    #[test]
+    fn split_run_traces_match_an_unsplit_run() {
+        let trace = |deadline: Option<SimTime>| {
+            let mut engine = Engine::new(7);
+            let p = engine.add_process(Box::new(Ticker { ticks: 50 }));
+            engine.start(p);
+            let mut sink = VecSink::new();
+            if let Some(deadline) = deadline {
+                engine.run_until(Some(deadline), &mut sink);
+                assert!(!engine.is_idle(), "deadline must pause the run");
+            }
+            engine.run(&mut sink);
+            (sink, engine.now())
+        };
+        let (whole, whole_end) = trace(None);
+        let (split, split_end) = trace(Some(SimTime::from_micros(60)));
+        assert_eq!(split.events, whole.events);
+        assert_eq!(split.steps, whole.steps);
+        assert_eq!(split.checkpoints, whole.checkpoints);
+        assert_eq!(split_end, whole_end);
     }
 
     /// A process that emits a trace event on start.

@@ -168,7 +168,9 @@ impl JobRuntime {
         *slot = Arc::new(self.registry.snapshot());
         drop(slot);
         self.publish_version.fetch_add(1, Ordering::Release);
-        tpupoint_obs::metrics().counter("fleet.snapshot_publishes").inc();
+        tpupoint_obs::metrics()
+            .counter("fleet.snapshot_publishes")
+            .inc();
     }
 
     /// Swaps a pre-rendered phases report into the published slot.
@@ -262,7 +264,10 @@ impl FleetShared {
             ));
         }
         if let Some(merged) = &aggregate {
-            groups.push(LabeledSnapshotRef::new(&[("job", AGGREGATE_JOB_ID)], merged));
+            groups.push(LabeledSnapshotRef::new(
+                &[("job", AGGREGATE_JOB_ID)],
+                merged,
+            ));
         }
         to_prometheus_multi_ref(&groups)
     }
@@ -758,7 +763,9 @@ fn jobs_json(statuses: &[JobStatus]) -> String {
 /// Parses a `POST /jobs` body into a [`FleetJobRequest`]: `workload` is
 /// required (a suite id, as listed by `tpupoint workloads`); `id`,
 /// `tenant`, `generation`, `scale`, `seed`, `naive`, `pace_us`,
-/// `store_fault_prob`, and `store_fault_seed` are optional.
+/// `store_fault_prob`, and `store_fault_seed` are optional. A `scale`
+/// outside (0, 1] is refused here rather than asserted on by the workload
+/// builder.
 fn parse_job_request(body: &str) -> Result<FleetJobRequest, String> {
     let value: serde_json::Value =
         serde_json::from_str(body).map_err(|err| format!("invalid JSON body: {err}"))?;
@@ -776,10 +783,14 @@ fn parse_job_request(body: &str) -> Result<FleetJobRequest, String> {
         "v3" | "V3" => tpupoint_hw::TpuGeneration::V3,
         other => return Err(format!("\"generation\" must be v2 or v3, got {other:?}")),
     };
-    let scale = value
-        .get("scale")
-        .and_then(serde_json::Value::as_f64)
-        .unwrap_or_else(|| workload_id.default_sim_scale());
+    let scale = match value.get("scale") {
+        None => workload_id.default_sim_scale(),
+        Some(scale) => match scale.as_f64() {
+            Some(s) if s.is_finite() && s > 0.0 && s <= 1.0 => s,
+            Some(s) => return Err(format!("\"scale\" must be in (0, 1], got {s}")),
+            None => return Err("\"scale\" must be a number".to_owned()),
+        },
+    };
     let opts = BuildOptions {
         scale,
         seed: value
@@ -1121,6 +1132,64 @@ mod tests {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// JSON number text: plain and unit-interval floats, full-range
+    /// integers, and edge literals (overflow to infinity, negative zero,
+    /// subnormal).
+    fn number_text() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (-1e3f64..1e3).prop_map(|x| format!("{x}")),
+            (0.0f64..=1.0).prop_map(|x| format!("{x}")),
+            any::<u64>().prop_map(|x| x.to_string()),
+            any::<i64>().prop_map(|x| x.to_string()),
+            (0usize..6)
+                .prop_map(|i| ["1e999", "-1e999", "0", "-0.0", "1e-320", "1.0"][i].to_owned()),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn parse_job_request_never_panics_on_arbitrary_text(
+            codes in proptest::collection::vec(0u32..0x1_1000, 0..48),
+        ) {
+            // Bias toward JSON punctuation so some inputs get deep into the
+            // parser instead of failing on the first byte.
+            const JSONISH: &[char] = &['{', '}', '[', ']', '"', ':', ',', '\\', ' ', '.', '-'];
+            let body: String = codes
+                .iter()
+                .map(|&c| match c % 3 {
+                    0 => JSONISH[(c as usize / 3) % JSONISH.len()],
+                    _ => char::from_u32(c).unwrap_or('?'),
+                })
+                .collect();
+            let _ = parse_job_request(&body);
+            let _ = parse_job_request(&format!("{{\"workload\": \"bert-mrpc\", {body}}}"));
+        }
+
+        #[test]
+        fn parse_job_request_never_panics_on_arbitrary_numeric_fields(
+            scale in number_text(),
+            seed in number_text(),
+            pace in number_text(),
+            fault_prob in number_text(),
+            fault_seed in number_text(),
+        ) {
+            let body = format!(
+                concat!(
+                    "{{\"workload\": \"dcgan-mnist\", \"scale\": {}, \"seed\": {}, ",
+                    "\"pace_us\": {}, \"store_fault_prob\": {}, \"store_fault_seed\": {}}}"
+                ),
+                scale, seed, pace, fault_prob, fault_seed
+            );
+            let result = parse_job_request(&body);
+            let scale: f64 = scale.parse().expect("number text parses");
+            let valid = scale.is_finite() && scale > 0.0 && scale <= 1.0;
+            proptest::prop_assert_eq!(result.is_ok(), valid, "{}", body);
+        }
+    }
+
     #[test]
     fn duplicate_and_invalid_submissions_map_to_http_statuses() {
         let root = temp_root("statuses");
@@ -1184,7 +1253,7 @@ mod tests {
                 }
             })
         };
-        while !job.streaming.try_lock().is_err() {
+        while job.streaming.try_lock().is_ok() {
             std::thread::sleep(Duration::from_millis(1));
         }
 

@@ -246,9 +246,11 @@ pub fn build(id: WorkloadId, generation: TpuGeneration, opts: &BuildOptions) -> 
         train_steps: scaled(sched.train_steps, s),
         // The loop cadence scales with the run so scaled runs keep the
         // same *number* of loop boundaries (distinct step behaviour) as
-        // full-length ones.
+        // full-length ones. At least two, even when a tiny scale leaves
+        // fewer training steps than that.
         iterations_per_loop: scaled(sched.iterations_per_loop, s)
-            .clamp(2, scaled(sched.train_steps, s)),
+            .min(scaled(sched.train_steps, s))
+            .max(2),
         steps_per_eval: sched.steps_per_eval.map(|v| scaled(v, s)),
         // Eval segments keep their full length: evaluation passes cost the
         // same regardless of how much training is simulated.
@@ -480,6 +482,21 @@ mod tests {
                 assert!(!cfg.step_plan().is_empty(), "{id}");
                 assert!(cfg.train_graph.node_count() > 10, "{id}");
             }
+        }
+    }
+
+    #[test]
+    fn tiny_scales_build_a_runnable_plan() {
+        // Small enough that every workload scales to a single train step.
+        let opts = BuildOptions {
+            scale: 1e-9,
+            ..BuildOptions::default()
+        };
+        for id in WorkloadId::paper_nine() {
+            let cfg = build(id, TpuGeneration::V2, &opts);
+            assert_eq!(cfg.train_steps, 1, "{id}");
+            assert_eq!(cfg.iterations_per_loop, 2, "{id}");
+            assert!(!cfg.step_plan().is_empty(), "{id}");
         }
     }
 

@@ -135,3 +135,38 @@ fn seeded_faults_replay_identically_through_the_pipeline() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+#[test]
+fn chrome_trace_is_byte_identical_for_every_pool_size() {
+    // The trace is written by the analysis pass, which itself runs on the
+    // pool: neither the seal pipeline nor the pool size may move a byte.
+    let trace_bytes = |dir: &Path, pipelined: bool| {
+        let tp = TpuPoint::builder()
+            .analyzer(true)
+            .output_dir(dir)
+            .profiler_options(options())
+            .pipeline_profiler(pipelined)
+            .store_retries(0)
+            .build();
+        let run = tp.profile(config()).expect("profiling run");
+        tp.analyze(&run.profile).expect("analysis artifacts");
+        let path = dir.join(format!("{}-trace.json", run.profile.model));
+        std::fs::read(&path).unwrap_or_else(|e| panic!("{} missing: {e}", path.display()))
+    };
+    let serial_dir = tmp_dir("trace-serial");
+    let serial = trace_bytes(&serial_dir, false);
+    assert!(!serial.is_empty());
+
+    for threads in [1usize, 4] {
+        tpupoint_par::set_threads(threads);
+        let dir = tmp_dir(&format!("trace-pipe-{threads}"));
+        let pipelined = trace_bytes(&dir, true);
+        assert!(
+            pipelined == serial,
+            "Chrome trace not byte-identical to serial at {threads} threads"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    tpupoint_par::set_threads(0);
+    std::fs::remove_dir_all(&serial_dir).unwrap();
+}
