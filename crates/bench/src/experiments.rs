@@ -1658,7 +1658,11 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
     let jsonl_bytes = disk_bytes(&jsonl_dir)?;
     let binary_bytes = disk_bytes(&binary_dir)?;
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = serde_json::json!({
+        "host_cores": cores,
+        // Both stores ingest and recover inline on the calling thread.
+        "threads": 1,
         "steps": STEPS,
         "windows": WINDOWS,
         "ops_per_step": OPS_PER_STEP,
@@ -1682,7 +1686,8 @@ fn bench_store(out_dir: &Path) -> io::Result<String> {
     std::fs::remove_dir_all(&tmp)?;
 
     Ok(format!(
-        "Record-store format benchmark ({records} records, flush every {FLUSH_EVERY}):\n  \
+        "Record-store format benchmark ({records} records, flush every {FLUSH_EVERY}, \
+         one thread, {cores} core(s)):\n  \
          ingest   jsonl {:>9.1} ms ({:>9.0} rec/s) -> binary {:>9.1} ms ({:>9.0} rec/s)  ({speedup:.2}x, target >= 2x)\n  \
          recovery jsonl {:>9.1} ms -> binary {:>9.1} ms\n  \
          on disk  jsonl {:.2} MiB -> binary {:.2} MiB ({:.2}x smaller), recovered records identical\n",

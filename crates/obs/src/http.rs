@@ -50,6 +50,16 @@ const MAX_IN_FLIGHT: usize = 64;
 /// posts small JSON documents; anything larger is hostile).
 const MAX_BODY_BYTES: usize = 64 * 1024;
 
+/// Longest request or header line, line ending included.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
+/// Most bytes read and discarded after answering a malformed request, so
+/// the client sees the answer instead of a reset.
+const MAX_DRAIN_BYTES: usize = 256 * 1024;
+
 /// Degradation-aware health of a serving run, as reported by
 /// `GET /healthz`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -174,6 +184,7 @@ fn status_line(status: u16) -> &'static str {
         409 => "409 Conflict",
         413 => "413 Payload Too Large",
         429 => "429 Too Many Requests",
+        431 => "431 Request Header Fields Too Large",
         503 => "503 Service Unavailable",
         _ => "500 Internal Server Error",
     }
@@ -314,19 +325,140 @@ fn accept_loop(listener: &TcpListener, hooks: &Arc<ServeHooks>, stop: &Arc<Atomi
     }
 }
 
-/// Reads one line with the remaining slice of the total request deadline
-/// as the socket read timeout. Returns `None` on timeout, EOF, or error.
-fn read_line_by(
+/// One line read by [`read_line_by`].
+enum Line {
+    /// A line, ended by `\n` or by the peer closing mid-line.
+    Text(String),
+    /// More than [`MAX_LINE_BYTES`] without a line ending.
+    TooLong,
+    /// A line that is not UTF-8.
+    NotUtf8,
+    /// Timeout, EOF before any byte, or a read error.
+    Closed,
+}
+
+/// Reads one line of at most [`MAX_LINE_BYTES`], with the remaining slice
+/// of the total request deadline as the socket read timeout.
+fn read_line_by(reader: &mut BufReader<TcpStream>, started: Instant) -> Line {
+    let Some(remaining) = REQUEST_READ_DEADLINE.checked_sub(started.elapsed()) else {
+        return Line::Closed;
+    };
+    let _ = reader.get_ref().set_read_timeout(Some(remaining));
+    let mut raw = Vec::new();
+    match reader
+        .by_ref()
+        .take(MAX_LINE_BYTES as u64)
+        .read_until(b'\n', &mut raw)
+    {
+        Ok(0) | Err(_) => Line::Closed,
+        Ok(n) if n == MAX_LINE_BYTES && !raw.ends_with(b"\n") => Line::TooLong,
+        Ok(_) => String::from_utf8(raw).map_or(Line::NotUtf8, Line::Text),
+    }
+}
+
+/// The request head: the request line's method and target, and the body
+/// length its headers announce.
+struct Head {
+    method: String,
+    target: String,
+    content_length: usize,
+}
+
+/// Reads the request line and the header block. `Ok(None)` means the peer
+/// went away before sending a request line; `Err` is the client error to
+/// answer with.
+fn read_head(
     reader: &mut BufReader<TcpStream>,
     started: Instant,
-    line: &mut String,
-) -> Option<usize> {
-    let remaining = REQUEST_READ_DEADLINE.checked_sub(started.elapsed())?;
-    let _ = reader.get_ref().set_read_timeout(Some(remaining));
-    match reader.read_line(line) {
-        Ok(0) | Err(_) => None,
-        Ok(n) => Some(n),
+) -> Result<Option<Head>, Response> {
+    let request_line = match read_line_by(reader, started) {
+        Line::Text(line) => line,
+        Line::Closed => return Ok(None),
+        Line::TooLong => return Err(Response::text(400, "request line too long\n")),
+        Line::NotUtf8 => return Err(Response::text(400, "request line is not UTF-8\n")),
+    };
+    let mut parts = request_line.split_whitespace();
+    let mut head = Head {
+        method: parts.next().unwrap_or("").to_owned(),
+        target: parts.next().unwrap_or("").to_owned(),
+        content_length: 0,
+    };
+    // Drain the header block so the peer sees its request fully read
+    // before the response closes the connection, capturing Content-Length
+    // for routes that accept a body.
+    for _ in 0..=MAX_HEADERS {
+        let header = match read_line_by(reader, started) {
+            Line::Text(header) => header,
+            Line::Closed => return Ok(Some(head)),
+            Line::TooLong => return Err(Response::text(431, "header line too long\n")),
+            Line::NotUtf8 => return Err(Response::text(400, "header is not UTF-8\n")),
+        };
+        if header == "\r\n" || header == "\n" {
+            return Ok(Some(head));
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.trim().eq_ignore_ascii_case("content-length") {
+                head.content_length = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| Response::text(400, "invalid Content-Length\n"))?;
+                if head.content_length > MAX_BODY_BYTES {
+                    return Err(Response::text(413, "request body too large\n"));
+                }
+            }
+        }
     }
+    Err(Response::text(431, "too many header lines\n"))
+}
+
+/// Reads the announced body: as much of it as arrives before the deadline
+/// or EOF.
+fn read_body(reader: &mut BufReader<TcpStream>, started: Instant, len: usize) -> String {
+    let mut raw = vec![0u8; len];
+    let mut filled = 0usize;
+    while filled < raw.len() {
+        let Some(remaining) = REQUEST_READ_DEADLINE.checked_sub(started.elapsed()) else {
+            break;
+        };
+        let _ = reader.get_ref().set_read_timeout(Some(remaining));
+        match reader.read(&mut raw[filled..]) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => filled += n,
+        }
+    }
+    raw.truncate(filled);
+    String::from_utf8_lossy(&raw).into_owned()
+}
+
+/// Reads and discards what the client still sends, up to
+/// [`MAX_DRAIN_BYTES`] and the request deadline, so closing after a
+/// rejection does not reset the connection before the client reads the
+/// answer.
+fn drain(reader: &mut BufReader<TcpStream>, started: Instant) {
+    let mut left = MAX_DRAIN_BYTES;
+    let mut buf = [0u8; 4096];
+    while left > 0 {
+        let Some(remaining) = REQUEST_READ_DEADLINE.checked_sub(started.elapsed()) else {
+            return;
+        };
+        let _ = reader.get_ref().set_read_timeout(Some(remaining));
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n),
+        }
+    }
+}
+
+fn write_response(stream: &mut TcpStream, response: &Response) {
+    let _ = write!(
+        stream,
+        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+        status_line(response.status),
+        response.content_type,
+        response.body.len(),
+        response.body
+    );
+    let _ = stream.flush();
 }
 
 fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
@@ -335,54 +467,28 @@ fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
         return;
     };
     let mut reader = BufReader::new(clone);
-    let mut request_line = String::new();
-    if read_line_by(&mut reader, started, &mut request_line).is_none() {
-        return;
-    }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
+    let head = match read_head(&mut reader, started) {
+        Ok(Some(head)) => head,
+        Ok(None) => return,
+        Err(rejection) => {
+            write_response(&mut stream, &rejection);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            drain(&mut reader, started);
+            return;
+        }
+    };
+    let (method, target) = (head.method.as_str(), head.target.as_str());
     // Real Prometheus scrape configs append query params; route on the
     // bare path.
     let (path, query) = match target.split_once('?') {
         Some((path, query)) => (path, query),
         None => (target, ""),
     };
-    // Drain the header block so the peer sees its request fully read
-    // before the response closes the connection, capturing Content-Length
-    // for routes that accept a body.
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        match read_line_by(&mut reader, started, &mut header) {
-            None => break,
-            Some(_) if header == "\r\n" || header == "\n" => break,
-            Some(_) => {
-                if let Some((name, value)) = header.split_once(':') {
-                    if name.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
-                    }
-                }
-            }
-        }
-    }
-    let mut body = String::new();
-    if content_length > 0 && content_length <= MAX_BODY_BYTES {
-        let mut raw = vec![0u8; content_length];
-        let mut filled = 0usize;
-        while filled < raw.len() {
-            let Some(remaining) = REQUEST_READ_DEADLINE.checked_sub(started.elapsed()) else {
-                break;
-            };
-            let _ = reader.get_ref().set_read_timeout(Some(remaining));
-            match reader.read(&mut raw[filled..]) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => filled += n,
-            }
-        }
-        raw.truncate(filled);
-        body = String::from_utf8_lossy(&raw).into_owned();
-    }
+    let body = if head.content_length > 0 {
+        read_body(&mut reader, started, head.content_length)
+    } else {
+        String::new()
+    };
     crate::metrics().counter("obs.http_requests").inc();
     let response = match (method, path) {
         ("GET", "/metrics") => Response {
@@ -414,15 +520,7 @@ fn handle(mut stream: TcpStream, hooks: &ServeHooks) {
             }
         }
     };
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        status_line(response.status),
-        response.content_type,
-        response.body.len(),
-        response.body
-    );
-    let _ = stream.flush();
+    write_response(&mut stream, &response);
 }
 
 #[cfg(test)]

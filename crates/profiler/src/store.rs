@@ -575,6 +575,7 @@ pub(crate) fn part_path(dir: &Path, name: &str) -> PathBuf {
 ///
 /// Returns an error when `dir` holds no recognizable record stream at all.
 pub fn recover_records(dir: &Path) -> io::Result<RecoverySummary> {
+    let _span = tpupoint_obs::span!("store.recover");
     let manifest = JsonlStore::load_manifest(dir).unwrap_or(None);
     let binary = match &manifest {
         Some(m) if m.format == FORMAT_BINARY => true,

@@ -434,21 +434,24 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     let profile = live.into_inner().finish();
     ctl.status.set_done();
 
-    std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
-    let file =
-        std::fs::File::create(dir.join("profile.json")).map_err(|err| format!("profile: {err}"))?;
-    profile
-        .save_json(file)
-        .map_err(|err| format!("profile: {err}"))?;
-    let scrape = to_prometheus_labeled(
-        &job_runtime.registry.snapshot(),
-        &[
-            ("job", spec.id.as_str()),
-            ("tenant", job_runtime.tenant.as_str()),
-            ("workload", job_runtime.workload.as_str()),
-        ],
-    );
-    std::fs::write(dir.join("metrics.prom"), scrape).map_err(|err| format!("scrape: {err}"))?;
+    {
+        let _span = tpupoint_obs::span!("fleet.job_output");
+        std::fs::create_dir_all(&dir).map_err(|err| format!("output dir: {err}"))?;
+        let file = std::fs::File::create(dir.join("profile.json"))
+            .map_err(|err| format!("profile: {err}"))?;
+        profile
+            .save_json(file)
+            .map_err(|err| format!("profile: {err}"))?;
+        let scrape = to_prometheus_labeled(
+            &job_runtime.registry.snapshot(),
+            &[
+                ("job", spec.id.as_str()),
+                ("tenant", job_runtime.tenant.as_str()),
+                ("workload", job_runtime.workload.as_str()),
+            ],
+        );
+        std::fs::write(dir.join("metrics.prom"), scrape).map_err(|err| format!("scrape: {err}"))?;
+    }
     // Final publish: the registry is quiescent after finish(), so from
     // here on every scrape of this job serves its settled end state.
     let final_phases = job_runtime
