@@ -9,13 +9,31 @@
 //!
 //! * a **seeded reservoir** (Algorithm R) of raw per-step feature rows,
 //!   so memory stays bounded no matter how long the job runs;
-//! * **running min-max bounds** per dimension — rows are rescaled with
-//!   the *current* bounds at every update, converging on the offline
+//! * **running min-max bounds** per dimension — a full fit rescales the
+//!   reservoir with the *current* bounds, converging on the offline
 //!   scaling as the stream covers the run;
-//! * **mini-batch k-means with warm-started centroids**: each update
-//!   runs a few Lloyd iterations over the reservoir, seeded from the
-//!   previous update's centroids (kept in raw space so they survive
-//!   evolving bounds), growing toward `k` with k-means++ picks;
+//! * **mini-batch k-means with warm-started centroids**: until stability
+//!   latches, every update is a full fit — a few Lloyd iterations over
+//!   the reservoir, seeded from the previous fit's centroids (kept in raw
+//!   space so they survive evolving bounds), growing toward `k` with
+//!   k-means++ picks, plus one cold k-means++ restart adopted only when
+//!   decisively better;
+//! * **assign-only updates after the latch**: once
+//!   [`StreamingAnalyzer::is_stable`] holds, the representative phases
+//!   are known (the SeqPoint observation), so an update only matches the
+//!   new rows to their nearest centroid through the scaling and
+//!   projection frozen at the last full fit, and counts as stable. A
+//!   warm-only full fit still runs when the stream has doubled since the
+//!   last one, or when the new rows sit more than 4x farther (in mean
+//!   squared distance) from their centroids than the last fit's rows did
+//!   (drift: a pattern the fitted phases do not describe). If such a fit
+//!   relabels old steps, or leaves the drifted batch still drifted, the
+//!   latch breaks and updates go back to full fits with the cold
+//!   restart;
+//! * a **final refit** ([`StreamingAnalyzer::refit`], run by [`replay`]
+//!   and by serve/fleet jobs before their last `/phases` publish): one
+//!   full fit with the cold restart over the reservoir, so the settled
+//!   labels come from a fit over the whole stream;
 //! * **incremental PCA**: a rank-1-updated raw scatter matrix, converted
 //!   to the scaled-space covariance on demand and diagonalized with the
 //!   same Jacobi solver the offline path uses — only engaged when the
@@ -54,6 +72,21 @@ pub const STREAM_CADENCE: usize = 8;
 /// factor to be adopted; anything closer is local-optimum noise not
 /// worth the label churn.
 const RESTART_MARGIN: f64 = 0.9;
+
+/// After the latch, a batch whose mean squared distance to its nearest
+/// centroids exceeds this multiple of the last full fit's per-row SSE
+/// has drifted from the fitted phases and triggers a refit.
+const DRIFT_FACTOR: f64 = 4.0;
+
+/// Floor of the per-row SSE in the drift test, in scaled units: a fit
+/// whose rows sit exactly on their centroids would otherwise read float
+/// rounding as drift.
+const DRIFT_FLOOR: f64 = 1e-9;
+
+/// After the latch, a full fit also runs once the rows seen have grown
+/// by this factor since the last one, so the centroids follow the
+/// running bounds with O(log n) fits over a run.
+const REFIT_GROWTH: u64 = 2;
 
 /// Tuning of one [`StreamingAnalyzer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -160,6 +193,65 @@ impl Projection {
     }
 }
 
+/// Min-max scaling of `row` by per-dimension `bounds` (constant
+/// dimensions map to 0).
+fn scale(bounds: &[(f64, f64)], row: &[f64]) -> Vec<f64> {
+    row.iter()
+        .zip(bounds)
+        .map(|(&x, &(lo, hi))| {
+            let range = hi - lo;
+            if range > 0.0 {
+                (x - lo) / range
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// Inverse of [`scale`] (constant dimensions map back to their value).
+fn unscale(bounds: &[(f64, f64)], row: &[f64]) -> Vec<f64> {
+    row.iter()
+        .zip(bounds)
+        .map(|(&z, &(lo, hi))| {
+            let range = hi - lo;
+            if range > 0.0 {
+                lo + z * range
+            } else {
+                lo
+            }
+        })
+        .collect()
+}
+
+/// The scaling bounds and projection of one full fit: the space its
+/// centroids live in.
+#[derive(Debug, Clone, Default)]
+struct FitSpace {
+    bounds: Vec<(f64, f64)>,
+    basis: Option<Projection>,
+}
+
+impl FitSpace {
+    /// A raw row mapped into this space.
+    fn view(&self, raw: &[f64]) -> Vec<f64> {
+        let scaled = scale(&self.bounds, raw);
+        match &self.basis {
+            Some(p) => p.project(&scaled),
+            None => scaled,
+        }
+    }
+
+    /// A point of this space mapped back to raw feature space.
+    fn raw(&self, point: &[f64]) -> Vec<f64> {
+        let scaled = match &self.basis {
+            Some(p) => p.unproject(point),
+            None => point.to_vec(),
+        };
+        unscale(&self.bounds, &scaled)
+    }
+}
+
 /// Incremental phase tracker; see the module docs.
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
@@ -178,9 +270,17 @@ pub struct StreamingAnalyzer {
     /// Centroids in raw feature space, so warm starts survive bound
     /// drift between updates.
     centroids_raw: Vec<Vec<f64>>,
-    /// Centroids as of the latest update, in the update's scaled (and
-    /// possibly projected) space — what `/phases` reports.
+    /// Centroids as of the latest full fit, in its scaled (and possibly
+    /// projected) space — what `/phases` reports.
     centroids_view: Vec<Vec<f64>>,
+    /// The space of the latest full fit; latched updates assign through
+    /// it.
+    fit_space: FitSpace,
+    /// Rows seen at the latest full fit (the geometric refit schedule).
+    rows_at_fit: u64,
+    /// The latest full fit's SSE per reservoir row (the drift baseline).
+    fit_mse: f64,
+    refits: u64,
     pca: IncrementalPca,
     /// Rows ingested since the last update.
     pending: Vec<(u64, Vec<f64>)>,
@@ -207,6 +307,10 @@ impl StreamingAnalyzer {
             bounds: Vec::new(),
             centroids_raw: Vec::new(),
             centroids_view: Vec::new(),
+            fit_space: FitSpace::default(),
+            rows_at_fit: 0,
+            fit_mse: 0.0,
+            refits: 0,
             pca: IncrementalPca::default(),
             pending: Vec::new(),
             assignments: BTreeMap::new(),
@@ -217,7 +321,8 @@ impl StreamingAnalyzer {
     }
 
     /// Ingests one batch of newly completed step records (a sealed
-    /// window, or a step-cadence slice of one) and re-clusters. Empty
+    /// window, or a step-cadence slice of one) and updates the phase
+    /// labels (a full fit, or assign-only once latched). Empty
     /// batches are a no-op so frequent seals cannot inflate the
     /// stability counter without new evidence.
     pub fn observe_seal(&mut self, records: &[StepRecord], n_ops: usize) {
@@ -266,34 +371,6 @@ impl StreamingAnalyzer {
         self.pending.push((step, row));
     }
 
-    fn scale(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(&self.bounds)
-            .map(|(&x, &(lo, hi))| {
-                let range = hi - lo;
-                if range > 0.0 {
-                    (x - lo) / range
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    fn unscale(&self, row: &[f64]) -> Vec<f64> {
-        row.iter()
-            .zip(&self.bounds)
-            .map(|(&z, &(lo, hi))| {
-                let range = hi - lo;
-                if range > 0.0 {
-                    lo + z * range
-                } else {
-                    lo
-                }
-            })
-            .collect()
-    }
-
     /// Derives the projection basis from the incremental scatter, or
     /// `None` while the dimensionality fits without reduction.
     fn projection_basis(&self) -> Option<Projection> {
@@ -339,7 +416,7 @@ impl StreamingAnalyzer {
             .map(|c| (0..d).map(|i| eigenvectors[i][c]).collect())
             .collect();
         Some(Projection {
-            mean: self.scale(&mean_raw),
+            mean: scale(&self.bounds, &mean_raw),
             cols,
         })
     }
@@ -389,15 +466,82 @@ impl StreamingAnalyzer {
     fn update(&mut self) {
         self.updates += 1;
         let pending = std::mem::take(&mut self.pending);
-        let basis = self.projection_basis();
-        let view = |this: &Self, raw: &[f64]| -> Vec<f64> {
-            let scaled = this.scale(raw);
-            match &basis {
-                Some(p) => p.project(&scaled),
-                None => scaled,
+        let latched = self.is_stable() && !self.centroids_view.is_empty();
+        if !latched {
+            let stability = self.fit(&pending, true);
+            self.record_stability(stability);
+            return;
+        }
+        let (labels, drifted) = self.match_batch(&pending);
+        if !drifted && self.rows_seen < REFIT_GROWTH * self.rows_at_fit {
+            // Assign only: the fitted phases still describe the stream,
+            // so no previously labeled slot changes.
+            for (&(step, _), label) in pending.iter().zip(labels) {
+                self.assignments.insert(step, label);
             }
+            for (slot, label) in self.slot_labels.iter_mut().enumerate() {
+                if label.is_none() {
+                    *label = Some(self.assignments[&self.sample_steps[slot]]);
+                }
+            }
+            self.record_stability(1.0);
+            return;
+        }
+        // A scheduled or drift refit stays warm once the phases are known.
+        let stability = self.fit(&pending, false);
+        self.record_stability(stability);
+        if drifted && self.match_batch(&pending).1 {
+            // Not even the refit places the batch: the fitted phases no
+            // longer describe the stream, however few old labels moved.
+            self.stable_windows = 0;
+        }
+    }
+
+    /// Each row's nearest centroid through the latest fit's space, and
+    /// whether the batch has drifted: its mean squared distance to those
+    /// centroids exceeds [`DRIFT_FACTOR`] times the fit's own.
+    fn match_batch(&self, rows: &[(u64, Vec<f64>)]) -> (Vec<usize>, bool) {
+        let mut d2 = 0.0;
+        let labels = rows
+            .iter()
+            .map(|(_, raw)| {
+                let v = self.fit_space.view(raw);
+                let label = kmeans::nearest(&v, &self.centroids_view);
+                d2 += dist2(&v, &self.centroids_view[label]);
+                label
+            })
+            .collect();
+        let mean_d2 = d2 / rows.len() as f64;
+        (
+            labels,
+            mean_d2 > DRIFT_FACTOR * self.fit_mse.max(DRIFT_FLOOR),
+        )
+    }
+
+    fn record_stability(&mut self, stability: f64) {
+        self.stability = stability;
+        if stability >= self.config.stability_threshold {
+            self.stable_windows += 1;
+        } else {
+            self.stable_windows = 0;
+        }
+    }
+
+    /// Full fit over the reservoir in the current space: a warm-started
+    /// Lloyd descent and, with `cold_restart`, one k-means++ restart.
+    /// Relabels every sampled step and the `pending` rows, and returns
+    /// the stability score of the relabeling.
+    fn fit(&mut self, pending: &[(u64, Vec<f64>)], cold_restart: bool) -> f64 {
+        let _span = tpupoint_obs::span!(
+            "analyzer.streaming_refit",
+            rows = self.sample_rows.len() as i64
+        );
+        self.refits += 1;
+        let space = FitSpace {
+            bounds: self.bounds.clone(),
+            basis: self.projection_basis(),
         };
-        let rows: Vec<Vec<f64>> = self.sample_rows.iter().map(|r| view(self, r)).collect();
+        let rows: Vec<Vec<f64>> = self.sample_rows.iter().map(|r| space.view(r)).collect();
         let matrix = FeatureMatrix {
             steps: self.sample_steps.clone(),
             rows,
@@ -405,7 +549,7 @@ impl StreamingAnalyzer {
         // Warm start from the previous centroids, mapped through the
         // current scaling/projection; grow toward k with k-means++.
         let mut centroids: Vec<Vec<f64>> =
-            self.centroids_raw.iter().map(|c| view(self, c)).collect();
+            self.centroids_raw.iter().map(|c| space.view(c)).collect();
         let want = self.config.k.min(matrix.len());
         if centroids.is_empty() {
             centroids = kmeans::seed_centroids(&matrix, want, &mut self.kmeans_rng);
@@ -428,11 +572,11 @@ impl StreamingAnalyzer {
         // Restart guard: a purely warm-started descent inherits whatever
         // optimum the first few rows suggested and can stay trapped
         // spending clusters on early outliers while the dominant mass
-        // goes unsplit. Each update also tries one cold k-means++
-        // restart and adopts it only when decisively better, its
-        // clusters renamed to the nearest warm centroids so surviving
-        // phases keep their labels across the switch.
-        let result = if matrix.len() >= want && want > 0 {
+        // goes unsplit. A cold fit also tries one k-means++ restart and
+        // adopts it only when decisively better, its clusters renamed to
+        // the nearest warm centroids so surviving phases keep their
+        // labels across the switch.
+        let result = if cold_restart && matrix.len() >= want && want > 0 {
             let seeds = kmeans::seed_centroids(&matrix, want, &mut self.kmeans_rng);
             let cold = kmeans::lloyd_from(&matrix, seeds, self.config.minibatch_iters);
             if cold.sse < RESTART_MARGIN * warm.sse {
@@ -445,54 +589,55 @@ impl StreamingAnalyzer {
         };
 
         // Stability: previously-labeled sampled steps whose label
-        // survived this update. Fresh and replaced slots are excluded —
-        // a new step landing in an existing cluster is not instability;
+        // survived this fit. Fresh and replaced slots are excluded — a
+        // new step landing in an existing cluster is not instability;
         // only centroid drift strong enough to *relabel* old steps is.
         let n = matrix.len();
         let prev = (0..n).filter(|&i| self.slot_labels[i].is_some()).count();
         let matched = (0..n)
             .filter(|&i| self.slot_labels[i] == Some(result.assignments[i]))
             .count();
-        self.stability = if prev == 0 {
+        let stability = if prev == 0 {
             0.0
         } else {
             matched as f64 / prev as f64
         };
-        if self.stability >= self.config.stability_threshold {
-            self.stable_windows += 1;
-        } else {
-            self.stable_windows = 0;
-        }
 
         for i in 0..n {
             self.slot_labels[i] = Some(result.assignments[i]);
             self.assignments
                 .insert(self.sample_steps[i], result.assignments[i]);
         }
-        // Pending rows evicted from the reservoir before this update
-        // still get a label against the fresh centroids.
-        for (step, raw) in &pending {
+        // Pending rows evicted from the reservoir before this fit still
+        // get a label against the fresh centroids.
+        for (step, raw) in pending {
             if self.assignments.contains_key(step) {
                 continue;
             }
-            let v = view(self, raw);
+            let v = space.view(raw);
             self.assignments
                 .insert(*step, kmeans::nearest(&v, &result.centroids));
         }
-        // Store centroids in raw space so the next update's warm start
+        // Store centroids in raw space so the next fit's warm start
         // survives shifting bounds (and a re-derived projection).
-        self.centroids_raw = result
-            .centroids
-            .iter()
-            .map(|c| {
-                let scaled = match &basis {
-                    Some(p) => p.unproject(c),
-                    None => c.clone(),
-                };
-                self.unscale(&scaled)
-            })
-            .collect();
+        self.centroids_raw = result.centroids.iter().map(|c| space.raw(c)).collect();
         self.centroids_view = result.centroids;
+        self.fit_space = space;
+        self.rows_at_fit = self.rows_seen;
+        self.fit_mse = result.sse / n as f64;
+        stability
+    }
+
+    /// One full fit with the cold restart over the current reservoir,
+    /// whatever the latch says — the settled labels at the end of a run.
+    /// Ingests nothing, so the update count and the stability state are
+    /// left as they were; a tracker with no rows is left untouched.
+    pub fn refit(&mut self) {
+        if self.sample_rows.is_empty() {
+            return;
+        }
+        let pending = std::mem::take(&mut self.pending);
+        self.fit(&pending, true);
     }
 
     /// Fraction of previously-labeled sampled steps whose assignment
@@ -501,7 +646,8 @@ impl StreamingAnalyzer {
         self.stability
     }
 
-    /// Consecutive updates at or above the stability threshold.
+    /// Consecutive updates at or above the stability threshold (a refit
+    /// that cannot place a drifted batch also resets it).
     pub fn stable_windows(&self) -> u64 {
         self.stable_windows
     }
@@ -515,6 +661,12 @@ impl StreamingAnalyzer {
     /// Incremental updates performed so far.
     pub fn updates(&self) -> u64 {
         self.updates
+    }
+
+    /// Full fits run so far: every update before the latch, then the
+    /// scheduled, drift-triggered and final ones.
+    pub fn refits(&self) -> u64 {
+        self.refits
     }
 
     /// Steps assigned to a phase so far.
@@ -601,7 +753,7 @@ fn row_of(record: &StepRecord, n_ops: usize) -> Vec<f64> {
 /// analyzer, as `analyze --prefix-stable` does.
 #[derive(Debug)]
 pub struct StreamingReplay {
-    /// The tracker's final state.
+    /// The tracker's final state, after the final refit.
     pub analyzer: StreamingAnalyzer,
     /// Last step of the update at which stability first latched
     /// ([`StreamingAnalyzer::is_stable`]), if it ever did.
@@ -611,7 +763,8 @@ pub struct StreamingReplay {
 }
 
 /// Replays `profile`'s step records through a fresh tracker in
-/// [`STREAM_CADENCE`]-sized batches — the batch-mode twin of the serve
+/// [`STREAM_CADENCE`]-sized batches, then runs the final
+/// [`StreamingAnalyzer::refit`] — the batch-mode twin of the serve
 /// observer, used by `--prefix-stable` to find the stable prefix.
 pub fn replay(profile: &Profile, config: StreamingConfig) -> StreamingReplay {
     let n_ops = profile.op_names.len();
@@ -625,6 +778,7 @@ pub fn replay(profile: &Profile, config: StreamingConfig) -> StreamingReplay {
             stable_at_step = Some(chunk.last().expect("non-empty chunk").step);
         }
     }
+    analyzer.refit();
     StreamingReplay {
         analyzer,
         stable_at_step,
@@ -655,10 +809,16 @@ mod tests {
         r
     }
 
-    /// Alternating two-phase stream: even steps heavy on op 0, odd
+    /// Alternating two-phase stream: even blocks heavy on op 0, odd
     /// blocks heavy on op 1.
     fn two_phase_steps(n: u64) -> Vec<StepRecord> {
-        (0..n)
+        two_phase_range(0..n)
+    }
+
+    /// The two-phase stream over `steps`: 8-step blocks alternating
+    /// between op 0 and op 1 heavy (any further op stays idle).
+    fn two_phase_range(steps: std::ops::Range<u64>) -> Vec<StepRecord> {
+        steps
             .map(|s| {
                 if (s / 8) % 2 == 0 {
                     step_record(s, &[(0, 4, 400), (1, 1, 10)])
@@ -667,6 +827,22 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// A two-phase tracker fed 160 steps: latched, with the geometric
+    /// refit not due for the next batch.
+    fn latched(k: usize, n_ops: usize) -> StreamingAnalyzer {
+        let mut analyzer = StreamingAnalyzer::new(StreamingConfig {
+            k,
+            ..StreamingConfig::default()
+        });
+        feed(&mut analyzer, &two_phase_range(0..160), n_ops);
+        assert!(analyzer.is_stable(), "two-phase stream latches");
+        assert!(
+            analyzer.rows_seen + (STREAM_CADENCE as u64) < REFIT_GROWTH * analyzer.rows_at_fit,
+            "next batch is not a scheduled refit"
+        );
+        analyzer
     }
 
     fn feed(analyzer: &mut StreamingAnalyzer, records: &[StepRecord], n_ops: usize) {
@@ -800,6 +976,76 @@ mod tests {
         }
         assert_eq!(analyzer.stable_windows(), stable_before);
         assert_eq!(analyzer.updates(), updates_before);
+    }
+
+    #[test]
+    fn latched_update_on_existing_centroids_only_assigns() {
+        let mut analyzer = latched(2, 2);
+        let centroids = analyzer.centroids_view.clone();
+        let refits = analyzer.refits();
+        let stable = analyzer.stable_windows();
+        feed(&mut analyzer, &two_phase_range(160..168), 2);
+        assert_eq!(analyzer.centroids_view, centroids);
+        assert_eq!(analyzer.refits(), refits, "no full fit");
+        assert_eq!(analyzer.stability(), 1.0);
+        assert_eq!(analyzer.stable_windows(), stable + 1);
+        assert_eq!(analyzer.steps_assigned(), 168);
+        // The new block joins the phase of the block two before it.
+        let labels = analyzer.assignments();
+        assert!((160..168).all(|s| labels[&s] == labels[&144]));
+    }
+
+    #[test]
+    fn third_pattern_after_the_latch_trips_the_drift_guard() {
+        let mut analyzer = latched(3, 3);
+        let refits = analyzer.refits();
+        let third: Vec<StepRecord> = (160..168)
+            .map(|s| step_record(s, &[(0, 1, 10), (1, 1, 10), (2, 6, 900)]))
+            .collect();
+        feed(&mut analyzer, &third, 3);
+        assert_eq!(analyzer.refits(), refits + 1, "drift refit");
+        let labels = analyzer.assignments();
+        let new = labels[&160];
+        assert!((160..168).all(|s| labels[&s] == new), "{labels:?}");
+        assert_ne!(new, labels[&0], "distinct from the first phase");
+        assert_ne!(new, labels[&8], "distinct from the second phase");
+        assert_eq!(analyzer.phase_count(), 3);
+    }
+
+    #[test]
+    fn long_stable_stream_refits_logarithmically() {
+        let mut analyzer = StreamingAnalyzer::new(StreamingConfig {
+            k: 2,
+            ..StreamingConfig::default()
+        });
+        let mut pre_latch = None;
+        for chunk in two_phase_range(0..4_000).chunks(STREAM_CADENCE) {
+            analyzer.observe_seal(chunk, 2);
+            if pre_latch.is_none() && analyzer.is_stable() {
+                pre_latch = Some(analyzer.updates());
+            }
+        }
+        let pre_latch = pre_latch.expect("latches");
+        assert_eq!(analyzer.updates(), 500);
+        assert!(
+            analyzer.refits() <= pre_latch + 12,
+            "{} full fits, {pre_latch} before the latch",
+            analyzer.refits()
+        );
+        assert!(analyzer.is_stable());
+        assert_eq!(analyzer.steps_assigned(), 4_000);
+    }
+
+    #[test]
+    fn refit_on_an_empty_tracker_is_a_no_op() {
+        let mut analyzer = StreamingAnalyzer::new(StreamingConfig::default());
+        analyzer.refit();
+        assert_eq!(analyzer.refits(), 0);
+        assert_eq!(analyzer.updates(), 0);
+        assert_eq!(
+            analyzer.report(),
+            StreamingAnalyzer::new(StreamingConfig::default()).report()
+        );
     }
 
     #[test]

@@ -353,6 +353,7 @@ fn help_text(name: &str) -> String {
         "profiler.overhead_measured" => "1 when the overhead ratio was measured against an uninstrumented twin run; absent when modeled",
         "analyzer.phase_occupancy" => "Training steps currently assigned to each streaming-analyzer phase",
         "analyzer.phase_stability" => "Fraction of previously-labeled sampled steps whose phase assignment survived the latest streaming update",
+        "analyzer.stream_refits" => "Full re-clusterings the streaming analyzer has run: every update before stability latches, then refits on schedule or drift, and the final refit",
         "analyzer.phase_count" => "Phases with at least one assigned step in the streaming analyzer",
         "analyzer.stable_windows" => "Consecutive streaming updates at or above the stability threshold",
         "analyzer.last_transition_step" => "Step of the most recent phase-label change in the streaming timeline",

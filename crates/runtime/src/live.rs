@@ -20,7 +20,6 @@
 //! batch speed, so graceful shutdown still produces the complete,
 //! deterministic record set.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -100,6 +99,49 @@ impl LiveStatus {
     }
 }
 
+/// One step's operator set as a dense bitset indexed by [`OpId`]: an
+/// insert per trace event is a bit set, and Eq. 1 is a few popcounts.
+#[derive(Debug, Clone, Default)]
+struct OpSet {
+    words: Vec<u64>,
+}
+
+impl OpSet {
+    fn insert(&mut self, op: OpId) {
+        let (word, bit) = (op.0 as usize / 64, op.0 % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    fn len(&self) -> u32 {
+        self.words.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// Empties the set, keeping its capacity for the next step.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Eq. 1 of the paper: `|A ∩ B| / min(|A|, |B|)`. Two empty sets are
+    /// trivially similar.
+    fn similarity(&self, other: &OpSet) -> f64 {
+        let (a, b) = (self.len(), other.len());
+        let min = a.min(b);
+        if min == 0 {
+            return if a == b { 1.0 } else { 0.0 };
+        }
+        let shared: u32 = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(x, y)| (x & y).count_ones())
+            .sum();
+        f64::from(shared) / f64::from(min)
+    }
+}
+
 /// The pacing/status decorator around a recording [`TraceSink`]; see the
 /// module docs.
 pub struct LiveSink<S: TraceSink> {
@@ -110,8 +152,8 @@ pub struct LiveSink<S: TraceSink> {
     /// Eq. 1 similarity threshold below which consecutive steps are
     /// declared to belong to different phases.
     threshold: f64,
-    prev_ops: BTreeSet<OpId>,
-    cur_ops: BTreeSet<OpId>,
+    prev_ops: OpSet,
+    cur_ops: OpSet,
     seen_step: bool,
 }
 
@@ -131,8 +173,8 @@ impl<S: TraceSink> LiveSink<S> {
             quit,
             pace,
             threshold,
-            prev_ops: BTreeSet::new(),
-            cur_ops: BTreeSet::new(),
+            prev_ops: OpSet::default(),
+            cur_ops: OpSet::default(),
             seen_step: false,
         }
     }
@@ -142,24 +184,15 @@ impl<S: TraceSink> LiveSink<S> {
         self.inner
     }
 
-    /// Eq. 1 of the paper over the two most recent steps' operator sets:
-    /// `|A ∩ B| / min(|A|, |B|)`. Two empty sets are trivially similar.
-    fn similarity(a: &BTreeSet<OpId>, b: &BTreeSet<OpId>) -> f64 {
-        let min = a.len().min(b.len());
-        if min == 0 {
-            return if a.len() == b.len() { 1.0 } else { 0.0 };
-        }
-        a.intersection(b).count() as f64 / min as f64
-    }
-
     /// Closes out the step that just ended: updates the online phase
     /// estimate from its operator set.
     fn roll_phase(&mut self) {
-        if self.seen_step && Self::similarity(&self.prev_ops, &self.cur_ops) < self.threshold {
+        if self.seen_step && self.prev_ops.similarity(&self.cur_ops) < self.threshold {
             self.status.phase.fetch_add(1, Ordering::Relaxed);
             self.status.phase_changes.fetch_add(1, Ordering::Relaxed);
         }
-        self.prev_ops = std::mem::take(&mut self.cur_ops);
+        std::mem::swap(&mut self.prev_ops, &mut self.cur_ops);
+        self.cur_ops.clear();
         self.seen_step = true;
     }
 }
@@ -195,6 +228,7 @@ impl<S: TraceSink> TraceSink for LiveSink<S> {
 mod tests {
     use super::*;
     use crate::{JobConfig, TrainingJob};
+    use std::collections::BTreeSet;
     use tpupoint_simcore::trace::VecSink;
     use tpupoint_simcore::{SimDuration, Track};
 
@@ -268,6 +302,54 @@ mod tests {
         sink.on_step(3, SimTime::from_micros(300));
         assert_eq!(status.ols_phase(), 1, "disjoint op set is a boundary");
         assert_eq!(status.phase_changes(), 1);
+    }
+
+    /// Eq. 1 over ordered sets, the formula the bitset replaces.
+    fn set_similarity(a: &BTreeSet<u32>, b: &BTreeSet<u32>) -> f64 {
+        let min = a.len().min(b.len());
+        if min == 0 {
+            return if a.len() == b.len() { 1.0 } else { 0.0 };
+        }
+        a.intersection(b).count() as f64 / min as f64
+    }
+
+    #[test]
+    fn empty_op_sets_follow_eq_1_edge_rules() {
+        let empty = OpSet::default();
+        let mut one = OpSet::default();
+        one.insert(OpId(70));
+        assert_eq!(empty.similarity(&OpSet::default()), 1.0);
+        assert_eq!(empty.similarity(&one), 0.0);
+        assert_eq!(one.similarity(&empty), 0.0);
+        one.clear();
+        assert_eq!(one.similarity(&empty), 1.0, "cleared is empty");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn bitset_similarity_matches_the_set_formula(
+            a in proptest::collection::vec(0u32..300, 0..40),
+            b in proptest::collection::vec(0u32..300, 0..40),
+            stale in proptest::collection::vec(0u32..300, 0..40),
+        ) {
+            let (mut x, mut y) = (OpSet::default(), OpSet::default());
+            // A cleared set must behave as a fresh one.
+            for &op in &stale {
+                y.insert(OpId(op));
+            }
+            y.clear();
+            for &op in &a {
+                x.insert(OpId(op));
+            }
+            for &op in &b {
+                y.insert(OpId(op));
+            }
+            let (sa, sb): (BTreeSet<u32>, BTreeSet<u32>) =
+                (a.into_iter().collect(), b.into_iter().collect());
+            proptest::prop_assert_eq!(x.len() as usize, sa.len());
+            proptest::prop_assert_eq!(x.similarity(&y), set_similarity(&sa, &sb));
+            proptest::prop_assert_eq!(y.similarity(&x), set_similarity(&sb, &sa));
+        }
     }
 
     #[test]

@@ -47,13 +47,13 @@ use std::io;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
 use tpupoint_obs::{
     to_prometheus_labeled, to_prometheus_multi_ref, Health, LabeledSnapshotRef, Metrics,
-    MetricsServer, MetricsSnapshot, Request, Response, ServeHooks,
+    MetricsServer, MetricsSnapshot, PhasesReport, Request, Response, ServeHooks,
 };
 use tpupoint_profiler::{PipelineConfig, ProfilerSink};
 use tpupoint_runtime::{
@@ -63,7 +63,7 @@ use tpupoint_runtime::{
 use tpupoint_workloads::{build, BuildOptions, Variant, WorkloadId};
 
 use crate::facade::{TpuPoint, TpuPointBuilder};
-use crate::serve::{preregister_series, preregister_series_in, sigint};
+use crate::serve::{preregister_series, preregister_series_in, publish_stream_state, sigint};
 
 /// One job submission for [`FleetSession::submit`]: the resolved training
 /// configuration plus fleet identity and per-job store knobs.
@@ -148,8 +148,8 @@ struct JobRuntime {
     max_spill: usize,
     /// The last published registry view; swapped whole, never mutated.
     published_metrics: Mutex<Arc<MetricsSnapshot>>,
-    /// The last published streaming-phase report, pre-rendered as JSON.
-    published_phases: Mutex<Arc<String>>,
+    /// The last published streaming-phase report.
+    published_phases: Mutex<Arc<PublishedPhases>>,
     /// Bumped once per metrics publish; the aggregate cache keys off it.
     publish_version: AtomicU64,
 }
@@ -173,12 +173,13 @@ impl JobRuntime {
             .inc();
     }
 
-    /// Swaps a pre-rendered phases report into the published slot.
-    fn publish_phases(&self, json: String) {
+    /// Swaps a phases report into the published slot, unrendered.
+    fn publish_phases(&self, report: PhasesReport) {
         *self
             .published_phases
             .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Arc::new(json);
+            .unwrap_or_else(|poisoned| poisoned.into_inner()) =
+            Arc::new(PublishedPhases::new(report));
     }
 
     /// The published registry view (cheap: one Arc clone under a lock
@@ -193,13 +194,42 @@ impl JobRuntime {
     }
 
     /// The published phases report.
-    fn phases_view(&self) -> Arc<String> {
+    fn phases_view(&self) -> Arc<PublishedPhases> {
         Arc::clone(
             &self
                 .published_phases
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()),
         )
+    }
+}
+
+/// One published phases report, rendered to JSON by the first scrape
+/// that reads it and shared by every later one until the next publish,
+/// so updates that nobody scrapes render nothing. Rendering consumes the
+/// report, so a slot never holds both forms.
+struct PublishedPhases {
+    report: Mutex<Option<PhasesReport>>,
+    json: OnceLock<String>,
+}
+
+impl PublishedPhases {
+    fn new(report: PhasesReport) -> PublishedPhases {
+        PublishedPhases {
+            report: Mutex::new(Some(report)),
+            json: OnceLock::new(),
+        }
+    }
+
+    fn json(&self) -> &str {
+        self.json.get_or_init(|| {
+            self.report
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .take()
+                .map(|report| report.to_json())
+                .unwrap_or_default()
+        })
     }
 }
 
@@ -330,8 +360,8 @@ impl FleetShared {
             if i > 0 {
                 body.push_str(", ");
             }
-            let report = job.phases_view();
-            body.push_str(&format!("{:?}: {}", id, report.trim_end()));
+            let phases = job.phases_view();
+            body.push_str(&format!("{:?}: {}", id, phases.json().trim_end()));
         }
         body.push_str("}\n");
         body
@@ -387,36 +417,11 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
             analyzer.observe_seal(records, n_ops);
-            runtime
-                .registry
-                .gauge("analyzer.phase_stability")
-                .set(analyzer.stability());
-            runtime
-                .registry
-                .gauge("analyzer.phase_count")
-                .set(analyzer.phase_count() as f64);
-            runtime
-                .registry
-                .gauge("analyzer.stable_windows")
-                .set(analyzer.stable_windows() as f64);
             let report = analyzer.report();
-            if let Some(step) = report.last_transition_step {
-                runtime
-                    .registry
-                    .gauge("analyzer.last_transition_step")
-                    .set(step as f64);
-            }
-            for phase in &report.phases {
-                runtime
-                    .registry
-                    .gauge(&format!("analyzer.phase_occupancy.{}", phase.id))
-                    .set(phase.occupancy as f64);
-            }
-            observer_status
-                .set_stream_state(analyzer.phase_count() as u64, analyzer.stable_windows());
+            publish_stream_state(&runtime.registry, &observer_status, &analyzer, &report);
             // Publish while the analyzer lock is still held so phase
             // reports from successive seals can never swap out of order.
-            runtime.publish_phases(report.to_json());
+            runtime.publish_phases(report);
             drop(analyzer);
             runtime.publish_metrics();
         }),
@@ -433,6 +438,18 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     let report = job.run(&mut live);
     let profile = live.into_inner().finish();
     ctl.status.set_done();
+    // Final refit: the settled phase labels come from one full fit over
+    // the whole stream, and the output scrape below already shows it.
+    let final_phases = {
+        let mut analyzer = job_runtime
+            .streaming
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        analyzer.refit();
+        let phases = analyzer.report();
+        publish_stream_state(&job_runtime.registry, &ctl.status, &analyzer, &phases);
+        phases
+    };
 
     {
         let _span = tpupoint_obs::span!("fleet.job_output");
@@ -454,12 +471,6 @@ fn run_fleet_job(shared: &FleetShared, spec: &JobSpec, ctl: &JobControl) -> Resu
     }
     // Final publish: the registry is quiescent after finish(), so from
     // here on every scrape of this job serves its settled end state.
-    let final_phases = job_runtime
-        .streaming
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .report()
-        .to_json();
     job_runtime.publish_phases(final_phases);
     job_runtime.publish_metrics();
     Ok(report.steps_completed)
@@ -676,12 +687,10 @@ fn submit_job(
         shared.options.fleet_limits.memory_budget_bytes,
         fleet.active_count() + 1,
     );
-    let initial_phases = StreamingAnalyzer::new(StreamingConfig::default())
-        .report()
-        .to_json();
+    let initial_phases = StreamingAnalyzer::new(StreamingConfig::default()).report();
     let runtime = Arc::new(JobRuntime {
         published_metrics: Mutex::new(Arc::new(registry.snapshot())),
-        published_phases: Mutex::new(Arc::new(initial_phases)),
+        published_phases: Mutex::new(Arc::new(PublishedPhases::new(initial_phases))),
         publish_version: AtomicU64::new(0),
         registry,
         tenant: request.tenant.clone(),
@@ -873,7 +882,7 @@ fn route_jobs(
             .get(id)
             .cloned();
         return Some(match job {
-            Some(job) => Response::json(job.phases_view().as_str().to_owned()),
+            Some(job) => Response::json(job.phases_view().json()),
             None => Response::json_status(404, format!("{{\"error\": \"no job {id:?}\"}}\n")),
         });
     }
@@ -1229,6 +1238,42 @@ mod tests {
         let (hw, spill) = derive_job_caps(1024 * 1024, 64);
         assert_eq!(hw, 16);
         assert_eq!(spill, 100);
+    }
+
+    #[test]
+    fn job_phases_scrape_renders_the_final_refit() {
+        let root = temp_root("phases");
+        let _ = std::fs::remove_dir_all(&root);
+        let session = fleet_at(&root);
+        let addr = session.addr();
+        let id = session
+            .submit(FleetJobRequest::new(JobConfig::demo()).id("render"))
+            .expect("admits");
+        session.wait_jobs_idle();
+
+        let job = Arc::clone(session.shared.jobs.lock().unwrap().get(&id).unwrap());
+        let (expected, refits) = {
+            let analyzer = job.streaming.lock().unwrap();
+            (analyzer.report().to_json(), analyzer.refits())
+        };
+        assert!(refits > 0, "the job ran full fits");
+        // The final refit is the last thing the published gauges saw.
+        let published = job.metrics_view();
+        assert_eq!(
+            published.gauges.get("analyzer.stream_refits").copied(),
+            Some(refits as f64)
+        );
+        assert!(job.phases_view().json.get().is_none(), "not rendered yet");
+        for _ in 0..2 {
+            let response = get(addr, "/jobs/render/phases");
+            let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+            assert_eq!(body, expected);
+        }
+        assert!(job.phases_view().json.get().is_some(), "render cached");
+
+        session.request_quit();
+        session.wait().expect("drains");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::time::Duration;
 use std::sync::Mutex;
 
 use tpupoint_analyzer::{StreamingAnalyzer, StreamingConfig, STREAM_CADENCE};
-use tpupoint_obs::{to_prometheus_labeled, Health, MetricsServer, ServeHooks};
+use tpupoint_obs::{to_prometheus_labeled, Health, MetricsServer, PhasesReport, ServeHooks};
 use tpupoint_profiler::{PipelineConfig, ProfilerSink};
 use tpupoint_runtime::{JobConfig, LiveSink, LiveStatus, TrainingJob};
 
@@ -115,6 +115,7 @@ pub(crate) fn preregister_series_in(metrics: &tpupoint_obs::Metrics) {
         // is not known up front), and `analyzer.last_transition_step`
         // only once a transition exists.
         "analyzer.phase_stability",
+        "analyzer.stream_refits",
         "analyzer.phase_count",
         "analyzer.stable_windows",
     ] {
@@ -123,6 +124,40 @@ pub(crate) fn preregister_series_in(metrics: &tpupoint_obs::Metrics) {
     for histogram in ["profiler.store_backoff_us", "profiler.seal_latency_us"] {
         metrics.histogram(histogram);
     }
+}
+
+/// Publishes the streaming analyzer's state, with `report` its current
+/// [`StreamingAnalyzer::report`], into `metrics` gauges and `status`.
+pub(crate) fn publish_stream_state(
+    metrics: &tpupoint_obs::Metrics,
+    status: &LiveStatus,
+    analyzer: &StreamingAnalyzer,
+    report: &PhasesReport,
+) {
+    let phase_count = report.phases.iter().filter(|p| p.occupancy > 0).count() as u64;
+    metrics
+        .gauge("analyzer.phase_stability")
+        .set(analyzer.stability());
+    metrics
+        .gauge("analyzer.stream_refits")
+        .set(analyzer.refits() as f64);
+    metrics
+        .gauge("analyzer.phase_count")
+        .set(phase_count as f64);
+    metrics
+        .gauge("analyzer.stable_windows")
+        .set(analyzer.stable_windows() as f64);
+    if let Some(step) = report.last_transition_step {
+        metrics
+            .gauge("analyzer.last_transition_step")
+            .set(step as f64);
+    }
+    for phase in &report.phases {
+        metrics
+            .gauge(&format!("analyzer.phase_occupancy.{}", phase.id))
+            .set(phase.occupancy as f64);
+    }
+    status.set_stream_state(phase_count, analyzer.stable_windows());
 }
 
 /// A running serve-mode session: the wall-clock recording thread plus the
@@ -285,29 +320,13 @@ impl TpuPoint {
             Box::new(move |records| {
                 let mut analyzer = observer_analyzer.lock().expect("streaming lock");
                 analyzer.observe_seal(records, n_ops);
-                let metrics = tpupoint_obs::metrics();
-                metrics
-                    .gauge("analyzer.phase_stability")
-                    .set(analyzer.stability());
-                metrics
-                    .gauge("analyzer.phase_count")
-                    .set(analyzer.phase_count() as f64);
-                metrics
-                    .gauge("analyzer.stable_windows")
-                    .set(analyzer.stable_windows() as f64);
                 let report = analyzer.report();
-                if let Some(step) = report.last_transition_step {
-                    metrics
-                        .gauge("analyzer.last_transition_step")
-                        .set(step as f64);
-                }
-                for phase in &report.phases {
-                    metrics
-                        .gauge(&format!("analyzer.phase_occupancy.{}", phase.id))
-                        .set(phase.occupancy as f64);
-                }
-                observer_status
-                    .set_stream_state(analyzer.phase_count() as u64, analyzer.stable_windows());
+                publish_stream_state(
+                    tpupoint_obs::metrics(),
+                    &observer_status,
+                    &analyzer,
+                    &report,
+                );
             }),
             STREAM_CADENCE as u64,
         );
@@ -318,11 +337,19 @@ impl TpuPoint {
             Duration::from_micros(options.serve_pace_us),
             options.ols_threshold,
         );
+        let final_analyzer = Arc::clone(&streaming);
+        let final_status = Arc::clone(&status);
         let recorder = std::thread::Builder::new()
             .name("tpupoint-recorder".to_owned())
             .spawn(move || {
                 let report = job.run(&mut live);
                 let profile = live.into_inner().finish();
+                // Final refit: the settled `/phases` labels come from one
+                // full fit over the whole stream.
+                let mut analyzer = final_analyzer.lock().expect("streaming lock");
+                analyzer.refit();
+                let phases = analyzer.report();
+                publish_stream_state(tpupoint_obs::metrics(), &final_status, &analyzer, &phases);
                 Ok(ProfiledRun { report, profile })
             })?;
 

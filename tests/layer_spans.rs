@@ -1,7 +1,11 @@
-//! The store-recovery and fleet job-output layers each record one span
-//! sample per call. This binary holds a single test so no other test's
-//! calls land in the process-wide span histograms it counts.
+//! The store-recovery, fleet job-output and streaming-refit layers each
+//! record one span sample per call. The tests hold one lock while they
+//! run, so no other test's calls land in the process-wide span
+//! histograms they count.
 
+use std::sync::Mutex;
+
+use tpupoint::analyzer::{replay, StreamingConfig};
 use tpupoint::prelude::*;
 use tpupoint::profiler::{recover_records, JsonlStore, RecordStore, StepRecord};
 use tpupoint::workloads::{build, BuildOptions, WorkloadId};
@@ -14,8 +18,13 @@ fn span_count(name: &str) -> u64 {
         .count
 }
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
 #[test]
 fn recover_and_job_output_spans_record_once_per_call() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let root = std::env::temp_dir().join(format!("tpupoint-layer-spans-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
@@ -58,4 +67,45 @@ fn recover_and_job_output_spans_record_once_per_call() {
     session.wait().expect("drains");
     assert_eq!(span_count("fleet.job_output") - before, 2);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
+fn streaming_refit_span_records_once_per_full_fit() {
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let config = build(
+        WorkloadId::BertMrpc,
+        TpuGeneration::V2,
+        &BuildOptions {
+            scale: 0.3,
+            seed: 7,
+            ..BuildOptions::default()
+        },
+    );
+    let profile = TpuPoint::builder()
+        .analyzer(false)
+        .build()
+        .profile(config)
+        .unwrap()
+        .profile;
+    let (refits_before, updates_before) = (
+        span_count("analyzer.streaming_refit"),
+        span_count("analyzer.streaming_update"),
+    );
+    let replayed = replay(&profile, StreamingConfig::default());
+    let refits = replayed.analyzer.refits();
+    assert!(
+        refits < replayed.chunks,
+        "updates after the latch only assign ({refits} full fits, {} updates)",
+        replayed.chunks
+    );
+    assert_eq!(
+        span_count("analyzer.streaming_refit") - refits_before,
+        refits
+    );
+    assert_eq!(
+        span_count("analyzer.streaming_update") - updates_before,
+        replayed.chunks
+    );
 }
